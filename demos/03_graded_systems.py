@@ -37,7 +37,7 @@ for line in theorem_verdicts(sr).lines():
 
 # The group algebra F2[C2] is system simple but not simple: the proper ideal
 # spanned by 1+g is invisible to the grading (it is not a system ideal).
-R = catalog.semigroup_algebra(catalog.prime_field(2), ["e", "g"],
+R = catalog.semigroup_algebra(catalog.prime_field(2), ["g0", "g1"],
                               cyclic_group(2).mul, name="F2[C2]")
 gr = validate_system(R, cyclic_group(2), {"g0": [(1, 0)], "g1": [(0, 1)]})
 print("\ngroup algebra F2[C2] graded by C2:")

@@ -10,7 +10,7 @@ that need associativity check the flag instead of silently assuming it.
 from __future__ import annotations
 
 import itertools
-from math import gcd, prod
+from math import prod
 
 DEFAULT_ORDER_CAP = 4096
 
@@ -68,12 +68,6 @@ class FinAbGroup:
     def smul(self, n: int, x: Vec) -> Vec:
         return tuple((n * a) % d for a, d in zip(x, self.ranks))
 
-    def element_order(self, x: Vec) -> int:
-        n = 1
-        for a, d in zip(x, self.ranks):
-            n = n * (d // gcd(d, a or d)) // gcd(n, d // gcd(d, a or d))
-        return n
-
     def elements(self) -> list[Vec]:
         if self._elements is None:
             self._elements = list(itertools.product(*(range(d) for d in self.ranks)))
@@ -114,6 +108,7 @@ class FinRing:
         self.sc = tuple(tuple(row) for row in sc)
         self.zero = self.group.zero
         self._memo: dict | None = {} if self.order <= _MEMO_LIMIT else None
+        self._simple: bool | None = None     # is_simple, once computed
         self.is_associative = self._check_associative()
         self.is_commutative = self._check_commutative()
 
@@ -364,11 +359,13 @@ def _close_ideal(R: FinRing, gens, left: bool, right: bool, stop=None):
     Absorbing only basis-element products suffices by biadditivity; iterating
     keeps the closure valid in non-associative rings.  If ``stop`` is given it
     is called on each newly spanned element and a truthy return aborts the
-    closure early (the caller knows the answer at that point).
+    closure early (the caller knows the answer at that point).  Absorption
+    also ends once the set is the whole ring, which cannot grow further.
     Returns (element set, stopped_early).
     """
     group = R.group
     k = len(group.ranks)
+    n = R.order
     elems = {R.zero}
     frontier = []
     for g in gens:
@@ -378,7 +375,7 @@ def _close_ideal(R: FinRing, gens, left: bool, right: bool, stop=None):
         for x in list(elems):
             if x != R.zero and stop(x):
                 return elems, True
-    while frontier:
+    while frontier and len(elems) < n:
         new_gens = []
         for f in frontier:
             for i in range(k):
@@ -398,6 +395,8 @@ def _close_ideal(R: FinRing, gens, left: bool, right: bool, stop=None):
                 for x in fresh:
                     if stop(x):
                         return elems, True
+            if len(elems) == n:
+                break
     return elems, False
 
 
@@ -704,31 +703,46 @@ def bimodule_predicates(M: Subgroup, left_acting: Subgroup,
     }
 
 
-def proper_ideal_witness(R: FinRing):
-    """A nonzero x whose two-sided ideal closure is proper, with that closure.
+def _first_proper_closure(R: FinRing, candidates):
+    """The first nonzero x of ``candidates`` whose two-sided ideal closure is
+    proper, with that closure's element set; None if every x generates R.
 
-    Returns (x, Ideal) or None.  Elements already known to generate the whole
-    ring short-circuit later closures: if y's partial closure reaches such an
-    x then closure(y) contains closure(x) = R.
+    Elements already known to generate the whole ring short-circuit later
+    closures: if y's partial closure reaches such an x then closure(y)
+    contains closure(x) = R.  Only a proper closure is computed in full.
     """
     full = set()
-    n = R.order
-    for x in R.elements():
-        if x == R.zero:
+    for x in candidates:
+        if x in full:
             continue
         elems, stopped = _close_ideal(R, [x], True, True,
                                       stop=(lambda z: z in full) if full else None)
-        if not stopped and len(elems) < n:
-            return x, Ideal(R, elems, [x], "two-sided", trusted=True)
+        if not stopped and len(elems) < R.order:
+            return x, elems
         full.add(x)
     return None
 
 
+def proper_ideal_witness(R: FinRing):
+    """A nonzero x whose two-sided ideal closure is proper, with that closure.
+
+    Returns (x, Ideal) or None.
+    """
+    found = _first_proper_closure(R, (x for x in R.elements() if x != R.zero))
+    if found is None:
+        return None
+    x, elems = found
+    return x, Ideal(R, elems, [x], "two-sided", trusted=True)
+
+
 def is_simple(R: FinRing) -> bool:
-    """True iff R is nonzero and every nonzero element generates R as an ideal."""
-    if R.order == 1:
-        return False
-    return proper_ideal_witness(R) is None
+    """True iff R is nonzero and every nonzero element generates R as an ideal.
+
+    Computed once per ring: a FinRing does not change after construction.
+    """
+    if R._simple is None:
+        R._simple = R.order > 1 and proper_ideal_witness(R) is None
+    return R._simple
 
 
 def common_s_unit(A, xs):

@@ -84,8 +84,10 @@ def _cmd_fuzz(args) -> int:
             for row in report.rows:
                 print(f"{inst.source} {row.line(timings=args.timings)}")
         rows.extend(report.rows)
+    # machine output stays pure JSONL, so it can be fed to replay as is
     print(f"SUMMARY: {len(instances)} instances, {len(rows)} checks, "
-          f"{failures} failures")
+          f"{failures} failures",
+          file=sys.stderr if args.format == "machine" else sys.stdout)
     return 1 if failures else 0
 
 

@@ -17,6 +17,7 @@ from .finring import (
     Subgroup,
     _adjoin,
     _close_ideal,
+    _first_proper_closure,
     bimodule_predicates,
     center,
     centralizer,
@@ -107,6 +108,7 @@ class SystemRing:
         self._corner_left: dict = {}
         self._corner_right: dict = {}
         self._decomposition: dict | None = None
+        self._system_simple: tuple | None = None   # is_system_simple, once computed
 
     def _sum_over(self, keys) -> Subgroup:
         gens = []
@@ -414,11 +416,11 @@ def epsilon_characterizations(sr: SystemRing) -> SystemVerdict:
 def system_ideal_closure(sr: SystemRing, h, s=None) -> Ideal:
     """Smallest system ideal containing the homogeneous element h.
 
-    Computed as the fixpoint of J -> span of the homogeneous parts of the
-    ideal closure of J, starting from span{h}.  The map is inflationary on
-    homogeneously spanned subgroups and every iterate is contained in every
-    system ideal containing h.  The fixpoint is verified to be an ideal equal
-    to the span of its homogeneous parts.
+    This is the ideal closure of h: since R_s R_t lies in R_st and R is the
+    sum of its components, every product in the closure of a homogeneous h
+    expands into homogeneous terms, so the closure is spanned by homogeneous
+    elements and is itself a system ideal.  The result is verified to equal
+    the span of its homogeneous parts.
     """
     R = sr.ring
     h = R.group.reduce(h)
@@ -426,19 +428,14 @@ def system_ideal_closure(sr: SystemRing, h, s=None) -> Ideal:
         raise ValueError(f"{h} is not in the component of {fmt(s)}")
     if s is None and not any(h in sr.components[t] for t in sr.sgrp.elements):
         raise ValueError(f"{h} is not homogeneous")
-    current = set(subgroup_closure(R, [h]).elements)
-    while True:
-        ideal = ideal_closure(R, sorted(current))
-        homog = set()
-        for t in sr.sgrp.elements:
-            homog |= (ideal.elements & sr.components[t].elements)
-        nxt = set(subgroup_closure(R, sorted(homog)).elements)
-        if nxt == current:
-            break
-        current = nxt
-    if set(ideal.elements) != current:
-        raise AssertionError("system ideal fixpoint is not an ideal")
-    return Ideal(R, current, [h], "two-sided", trusted=True)
+    elems, _ = _close_ideal(R, [h], True, True)
+    homog = set()
+    for t in sr.sgrp.elements:
+        homog |= (elems & sr.components[t].elements)
+    if subgroup_closure(R, sorted(homog)).elements != elems:
+        raise AssertionError("ideal closure of a homogeneous element is not "
+                             "spanned by homogeneous elements")
+    return Ideal(R, elems, [h], "two-sided", trusted=True)
 
 
 def is_system_ideal(sr: SystemRing, I: Subgroup) -> bool:
@@ -454,17 +451,25 @@ def is_system_ideal(sr: SystemRing, I: Subgroup) -> bool:
 
 def is_system_simple(sr: SystemRing):
     """(bool, witness): every nonzero system ideal contains a nonzero
-    homogeneous element, so it suffices to close each of those."""
-    seen = {}
-    for s, h in sr.homogeneous_elements():
-        if h in seen:
-            closure = seen[h]
+    homogeneous element, so it suffices to close each of those.
+
+    A closure that reaches an element already known to generate R is R, so
+    it stops there; only a proper closure is computed in full.  Computed once
+    per system: a SystemRing does not change after construction.
+    """
+    if sr._system_simple is None:
+        found = _first_proper_closure(
+            sr.ring, (h for _, h in sr.homogeneous_elements()))
+        if found is None:
+            sr._system_simple = True, None
         else:
+            # the witness names the first component h was enumerated under
+            h = found[0]
+            s = next(t for t in sr.sgrp.elements if h in sr.components[t])
             closure = system_ideal_closure(sr, h, s)
-            seen[h] = closure
-        if len(closure) < sr.ring.order:
-            return False, {"s": fmt(s), "h": h, "ideal_order": len(closure)}
-    return True, None
+            sr._system_simple = False, {"s": fmt(s), "h": h,
+                                        "ideal_order": len(closure)}
+    return sr._system_simple
 
 
 def all_system_ideals(sr: SystemRing) -> list[frozenset]:
@@ -523,16 +528,21 @@ def max_commutative_r0(sr: SystemRing):
 def ideal_intersection_property(R: FinRing, B: Subgroup):
     """(bool, witness): every nonzero ideal of R meets B nontrivially.
 
-    Equivalent to: the closure of every nonzero element meets B - {0}.  The
-    closure is aborted as soon as it hits B.
+    Equivalent to: the closure of every nonzero element meets B - {0}.  A
+    closure stops as soon as it hits B or an earlier element whose closure
+    met B; a failing element reaches neither, so its closure is computed in
+    full.
     """
     hits = B.elements - {R.zero}
+    met = set()
     for x in R.elements():
         if x == R.zero:
             continue
-        elems, stopped = _close_ideal(R, [x], True, True, stop=lambda z: z in hits)
+        elems, stopped = _close_ideal(R, [x], True, True,
+                                      stop=lambda z: z in hits or z in met)
         if not stopped and not (elems & hits):
             return False, {"x": x, "ideal_order": len(elems)}
+        met.add(x)
     return True, None
 
 

@@ -271,6 +271,20 @@ def test_cli_fuzz(capsys):
     assert "SUMMARY: 2 instances" in out
 
 
+def test_cli_fuzz_machine_output_replays(tmp_path, capsys):
+    assert main(["fuzz", "--seed", "3", "--count", "4", "--format", "machine"]) == 0
+    captured = capsys.readouterr()
+    assert "SUMMARY: 4 instances" in captured.err
+    records = captured.out.splitlines()
+    assert records and all(json.loads(line) for line in records)
+    witness_file = tmp_path / "fuzz.jsonl"
+    witness_file.write_text(captured.out)
+    assert main(["replay", str(witness_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(records)
+    assert all(line.startswith("REPLAY OK: ") for line in lines)
+
+
 def test_cli_build_skew(capsys):
     assert main(["build-skew", str(FIXTURES / "swap_action.ins"), "swap"]) == 0
     info = json.loads(capsys.readouterr().out)

@@ -1,8 +1,10 @@
 import pytest
 
 from finsys import catalog
-from finsys.finring import ideal_closure, is_simple, subgroup_closure
+from finsys.finring import centralizer, ideal_closure, is_simple, subgroup_closure
+from finsys.harness import random_instances
 from finsys.invsgrp import cyclic_group, induced_semigroup, matrix_groupoid, disjoint_union
+from finsys.skewconstruct import build_skew_ring
 from finsys.syscheck import (
     NotGraded,
     ProductEscapes,
@@ -13,6 +15,7 @@ from finsys.syscheck import (
     degree,
     epsilon_characterizations,
     epsilon_strong_predicates,
+    fmt,
     ideal_intersection_property,
     is_system_ideal,
     is_system_simple,
@@ -355,3 +358,110 @@ def test_groupoid_grading_translation_identities():
     assert big == inter
     # idempotent coherence is automatic for such gradings
     assert structural_predicates(sr)["idempotent_coherent"]
+
+
+# ---------------------------------------------------------------------------
+# oracles for the closure shortcuts: system-ideal closure as one ideal
+# closure, and the early stops of is_system_simple and
+# ideal_intersection_property
+
+
+def reference_system_ideal_closure(sr, h):
+    """Fixpoint of J -> span of the homogeneous parts of the ideal closure
+    of J, from span{h}; every iterate lies in every system ideal containing
+    h, so the fixpoint is the smallest one."""
+    R = sr.ring
+    current = set(subgroup_closure(R, [h]).elements)
+    while True:
+        ideal = ideal_closure(R, sorted(current))
+        homog = set()
+        for t in sr.sgrp.elements:
+            homog |= ideal.elements & sr.components[t].elements
+        nxt = set(subgroup_closure(R, sorted(homog)).elements)
+        if nxt == current:
+            break
+        current = nxt
+    assert ideal.elements == current
+    return current
+
+
+def reference_is_system_simple(sr):
+    """Every homogeneous closure computed in full, no known-generator stop."""
+    for s, h in sr.homogeneous_elements():
+        closure = reference_system_ideal_closure(sr, h)
+        if len(closure) < sr.ring.order:
+            return False, {"s": fmt(s), "h": h, "ideal_order": len(closure)}
+    return True, None
+
+
+def reference_ideal_intersection_property(R, B):
+    """Every closure computed in full, no stop on meeting B."""
+    hits = B.elements - {R.zero}
+    for x in R.elements():
+        if x == R.zero:
+            continue
+        closure = ideal_closure(R, [x]).elements
+        if not closure & hits:
+            return False, {"x": x, "ideal_order": len(closure)}
+    return True, None
+
+
+@pytest.fixture(scope="module")
+def oracle_systems():
+    """The hand-built systems plus the skew gradings of a fixed fuzz corpus
+    (two of which are 576- and 729-element rings with proper closures)."""
+    systems = [(build.__name__, build()) for build in ALL_SYSTEMS]
+    for inst in random_instances(3, 12):
+        for name, pi in inst.pactions.items():
+            systems.append((f"{inst.source}.{name}", build_skew_ring(pi).grading))
+    return systems
+
+
+def test_system_ideal_closure_is_the_ideal_closure(oracle_systems):
+    for label, sr in oracle_systems:
+        for s, h in sr.homogeneous_elements():
+            closure = system_ideal_closure(sr, h, s).elements
+            assert closure == reference_system_ideal_closure(sr, h), (label, h)
+            assert closure == ideal_closure(sr.ring, [h]).elements, (label, h)
+
+
+def test_is_system_simple_matches_full_closures(oracle_systems):
+    verdicts = []
+    for label, sr in oracle_systems:
+        got = is_system_simple(sr)
+        assert got == reference_is_system_simple(sr), label
+        verdicts.append(got[0])
+    assert True in verdicts and False in verdicts
+
+
+def test_ideal_intersection_property_matches_full_closures(oracle_systems):
+    # Above 64 elements B = C_R(Z(R_0)) is left out: the property holds
+    # there, so the reference closes every element in full (about 10 s).
+    # The stop on earlier elements still fires on the 576-element ring with
+    # B = R_0, before the failing witness, and on matrix_system.
+    verdicts = []
+    for label, sr in oracle_systems:
+        R = sr.ring
+        Bs = [sr.r0, subgroup_closure(R, [])]
+        if R.order <= 64:
+            Bs.append(centralizer(R, center_of_part(sr)))
+        for B in Bs:
+            got = ideal_intersection_property(R, B)
+            assert got == reference_ideal_intersection_property(R, B), label
+            verdicts.append(got[0])
+    assert True in verdicts and False in verdicts
+
+
+def test_ideal_intersection_witness_on_group_ring():
+    R = group_ring_system().ring
+    zero = subgroup_closure(R, [])
+    assert ideal_intersection_property(R, zero) == (False, {"x": (0, 1), "ideal_order": 4})
+    assert reference_ideal_intersection_property(R, zero) == \
+        ideal_intersection_property(R, zero)
+
+
+def test_simplicity_computed_once_per_ring():
+    sr = group_ring_system()
+    assert not is_simple(sr.ring)
+    assert sr.ring._simple is False
+    assert is_system_simple(sr) is is_system_simple(sr)
