@@ -8,7 +8,6 @@ from finsys.invsgrp import (
     groupoid_predicates,
     induced_semigroup,
     matrix_groupoid,
-    natural_order,
     symmetric_inverse_monoid,
 )
 
@@ -23,9 +22,9 @@ print(f"  swap . swap = {S.mul(swap, swap)}  (the identity)")
 # The natural partial order is restriction of partial maps.
 ident = ((1, 1), (2, 2))
 part = ((1, 1),)
-print(f"  {part} <= identity: {natural_order(S, part, ident)}")
+print(f"  {part} <= identity: {S.leq(part, ident)}")
 print(f"  empty map below everything: "
-      f"{all(natural_order(S, (), t) for t in S.elements)}")
+      f"{all(S.leq((), t) for t in S.elements)}")
 
 # The full groupoid on two objects: one arrow between any ordered pair.
 G = matrix_groupoid([1, 2])
@@ -47,4 +46,4 @@ units = frozenset({(1, 1), (2, 2)})
 flip = frozenset({(1, 2), (2, 1)})
 print(f"  flip . flip = units: {B.mul(flip, flip) == units}")
 print(f"  order is inclusion: "
-      f"{all(natural_order(B, U, V) == (U <= V) for U in B.elements for V in B.elements)}")
+      f"{all(B.leq(U, V) == (U <= V) for U in B.elements for V in B.elements)}")

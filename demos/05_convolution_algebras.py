@@ -7,6 +7,7 @@ Run:  python3 demos/05_convolution_algebras.py
 from finsys import catalog
 from finsys.finring import is_simple
 from finsys.invsgrp import all_bisections, matrix_groupoid
+from finsys.skewconstruct import build_skew_ring
 from finsys.steinberg import (
     ga_partial_action,
     simplicity_verdicts,
@@ -41,7 +42,7 @@ print(f"  flip moves the indicator of object 1 to object 2: "
 
 # Translating back and forth between the skew ring of that action and the
 # convolution algebra is a verified ring isomorphism both ways.
-pair = translation(F2, G)
+pair = translation(pi, objects, build_skew_ring(pi), sp)
 print(f"  translation verified on {len(pair.alpha)} skew elements and "
       f"{len(pair.beta)} functions")
 

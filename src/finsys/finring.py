@@ -109,6 +109,7 @@ class FinRing:
         self.zero = self.group.zero
         self._memo: dict | None = {} if self.order <= _MEMO_LIMIT else None
         self._simple: bool | None = None     # is_simple, once computed
+        self._unitality: dict | None = None  # unitality_predicates(R), once computed
         self.is_associative = self._check_associative()
         self.is_commutative = self._check_commutative()
 
@@ -400,6 +401,19 @@ def _close_ideal(R: FinRing, gens, left: bool, right: bool, stop=None):
     return elems, False
 
 
+def _absorption_escape(R: FinRing, sub: Subgroup):
+    """The first x of ``sub`` with e_i x or x e_i outside it, as (x, that
+    product written out); None if ``sub`` absorbs basis products on both
+    sides, which by biadditivity makes it a two-sided ideal."""
+    for x in sub:
+        for i in range(len(R.group.ranks)):
+            if R.mul_basis_left(i, x) not in sub:
+                return x, f"e_{i} * {x}"
+            if R.mul_basis_right(x, i) not in sub:
+                return x, f"{x} * e_{i}"
+    return None
+
+
 def ideal_closure(R: FinRing, gens, sidedness: str = "two-sided") -> Ideal:
     """Smallest ideal of the declared sidedness containing ``gens``.
 
@@ -558,15 +572,10 @@ def quotient_ring(R: FinRing, I: Ideal) -> RingQuotient:
     """
     if not isinstance(I, Subgroup) or I.ring is not R:
         raise MalformedSpec("ideal does not belong to the ring")
-    k = len(R.group.ranks)
-    for x in I:
-        for i in range(k):
-            if R.mul_basis_left(i, x) not in I:
-                raise IllDefinedProduct(
-                    f"coset product ill-defined: e_{i} * {x} escapes the ideal")
-            if R.mul_basis_right(x, i) not in I:
-                raise IllDefinedProduct(
-                    f"coset product ill-defined: {x} * e_{i} escapes the ideal")
+    escape = _absorption_escape(R, I)
+    if escape is not None:
+        raise IllDefinedProduct(
+            f"coset product ill-defined: {escape[1]} escapes the ideal")
 
     ideal_sorted = I.sorted_elements()
     rep = {}
@@ -629,8 +638,11 @@ def unitality_predicates(R: FinRing, subset=None) -> dict:
 
     ``locally_unital`` asks for one idempotent e with exe = x for all x (a
     finite set has a single witness for all its finite subsets); in a
-    non-associative ring both bracketings of exe must agree with x.
+    non-associative ring both bracketings of exe must agree with x.  The
+    flags of the whole ring are computed once per ring.
     """
+    if subset is None and R._unitality is not None:
+        return R._unitality
     M = sorted(subset.elements) if isinstance(subset, Subgroup) else \
         (sorted(subset) if subset is not None else R.elements())
     mul = R.mul
@@ -654,7 +666,7 @@ def unitality_predicates(R: FinRing, subset=None) -> dict:
     for x in gens:
         for y in gens:
             _adjoin(R.group, span, mul(x, y))
-    return {
+    flags = {
         "left_unital": bool(left_ids),
         "right_unital": bool(right_ids),
         "unital": bool(left_ids) and bool(right_ids),
@@ -664,6 +676,9 @@ def unitality_predicates(R: FinRing, subset=None) -> dict:
         "locally_unital": loc,
         "idempotent_ring": span == set(M),
     }
+    if subset is None:
+        R._unitality = flags
+    return flags
 
 
 def bimodule_predicates(M: Subgroup, left_acting: Subgroup,

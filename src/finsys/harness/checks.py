@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..finring import CapExceeded, DEFAULT_ORDER_CAP, unitality_predicates
-from ..invsgrp import InternalInconsistency, groupoid_predicates, natural_order
+from ..invsgrp import InternalInconsistency, groupoid_predicates
 from ..skewconstruct import (
     DEFAULT_SKEW_CAP,
     build_skew_ring,
@@ -21,7 +21,7 @@ from ..skewconstruct import (
     skew_groupoid_verdict,
     skew_simplicity_verdict,
 )
-from ..steinberg import DEFAULT_BISECTION_CAP, roundtrip_verdict, simplicity_verdicts
+from ..steinberg import DEFAULT_BISECTION_CAP, simplicity_verdicts
 from ..syscheck import (
     CheckResult,
     SystemVerdict,
@@ -45,21 +45,14 @@ def jsonable(x):
 
 
 @dataclass
-class ReportRow:
-    name: str
-    status: str
-    witness: dict | None = None
+class ReportRow(CheckResult):
     millis: int = 0
 
     def line(self, timings=False) -> str:
         if self.status == "SKIPPED" and self.witness == {"reason": "cap"}:
             out = f"CHECK {self.name}: SKIPPED(cap)"
         else:
-            out = f"CHECK {self.name}: {self.status}"
-            if self.witness:
-                parts = ", ".join(f"{k}={fmt(v)}"
-                                  for k, v in sorted(self.witness.items()))
-                out += f" (witness: {parts})"
+            out = super().line()
         if timings:
             out += f" [{self.millis} ms]"
         return out
@@ -124,14 +117,13 @@ def _semigroup_battery(name, S) -> SystemVerdict:
     bad = None
     els = S.elements
     for s in els:
-        if not natural_order(S, s, s):
+        if not S.leq(s, s):
             bad = {"kind": "not_reflexive", "s": fmt(s)}
         for t in els:
-            if natural_order(S, s, t) and natural_order(S, t, s) and s != t:
+            if S.leq(s, t) and S.leq(t, s) and s != t:
                 bad = {"kind": "not_antisymmetric", "s": fmt(s), "t": fmt(t)}
             for u in els:
-                if natural_order(S, s, t) and natural_order(S, t, u) and \
-                        not natural_order(S, s, u):
+                if S.leq(s, t) and S.leq(t, u) and not S.leq(s, u):
                     bad = {"kind": "not_transitive", "s": fmt(s), "t": fmt(t),
                            "u": fmt(u)}
             if bad:
@@ -143,8 +135,7 @@ def _semigroup_battery(name, S) -> SystemVerdict:
     bad = None
     for e in S.idempotents:
         for s in els:
-            if not natural_order(S, S.mul(e, s), s) or \
-                    not natural_order(S, S.mul(s, e), s):
+            if not S.leq(S.mul(e, s), s) or not S.leq(S.mul(s, e), s):
                 bad = {"e": fmt(e), "s": fmt(s)}
     verdict.add("idempotent_translates_sit_below",
                 "PASS" if bad is None else "FAIL", bad)
@@ -195,15 +186,13 @@ def _gpa_battery(name, gpa, skew_cap) -> SystemVerdict:
 
 
 def _steinberg_battery(K, G, bisection_cap, skew_cap) -> SystemVerdict:
-    verdict = SystemVerdict()
     try:
-        verdict.extend(simplicity_verdicts(K, G, bisection_cap=bisection_cap,
-                                           cap=skew_cap))
-        verdict.extend(roundtrip_verdict(K, G, bisection_cap=bisection_cap,
-                                         cap=skew_cap))
+        return simplicity_verdicts(K, G, bisection_cap=bisection_cap,
+                                   cap=skew_cap)
     except CapExceeded:
+        verdict = SystemVerdict()
         verdict.add("battery", "SKIPPED", {"reason": "cap"})
-    return verdict
+        return verdict
 
 
 def run(instance, checks=None, cap: int = DEFAULT_ORDER_CAP,
@@ -262,11 +251,14 @@ def run(instance, checks=None, cap: int = DEFAULT_ORDER_CAP,
     return report
 
 
-def replay(record: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[bool, str]:
+def replay(record: dict, cap: int = DEFAULT_ORDER_CAP,
+           bisection_cap: int = DEFAULT_BISECTION_CAP,
+           skew_cap: int = DEFAULT_SKEW_CAP) -> tuple[bool, str]:
     """Re-run the single named check of the recorded instance and compare.
 
     Returns (ok, message).  The witness must reproduce exactly: a witness
     that does not re-verify means the original report cannot be trusted.
+    The caps must be the ones the record was made with.
     """
     from .files import parse_path
 
@@ -275,12 +267,15 @@ def replay(record: dict, cap: int = DEFAULT_ORDER_CAP) -> tuple[bool, str]:
     if not path or not name:
         return False, "record needs 'instance' and 'name' fields"
     if str(path).startswith("fuzz:"):
-        from .fuzz import random_instances
-        _, seed, idx = str(path).split(":")
-        instance = random_instances(int(seed), int(idx) + 1)[int(idx)]
+        from .fuzz import fuzz_instance
+        try:
+            instance = fuzz_instance(str(path))
+        except (TypeError, ValueError) as exc:
+            return False, f"bad fuzz source tag {path!r}: {exc}"
     else:
         instance = parse_path(path, cap=cap)
-    report = run(instance, checks=[name], cap=cap)
+    report = run(instance, checks=[name], cap=cap, bisection_cap=bisection_cap,
+                 skew_cap=skew_cap)
     try:
         row = report.by_name(name)
     except KeyError:

@@ -74,7 +74,8 @@ def _cmd_fuzz(args) -> int:
     rows = []
     failures = 0
     for inst in instances:
-        report = run(inst, cap=args.cap, skew_cap=args.skew_cap)
+        report = run(inst, cap=args.cap, bisection_cap=args.bisection_cap,
+                     skew_cap=args.skew_cap)
         failures += report.fail_count()
         if args.format == "machine":
             text = report.machine(timings=args.timings)
@@ -101,7 +102,9 @@ def _cmd_replay(args) -> int:
             record = json.loads(line)
             if args.fail_only and record.get("status") != "FAIL":
                 continue
-            ok, message = replay(record, cap=args.cap)
+            ok, message = replay(record, cap=args.cap,
+                                 bisection_cap=args.bisection_cap,
+                                 skew_cap=args.skew_cap)
             print(("REPLAY OK: " if ok else "REPLAY MISMATCH: ") + message)
             ok_all = ok_all and ok
     return 0 if ok_all else 1
@@ -174,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--checks", default="all",
                    help="comma list of name substrings (default: all)")
-    p.add_argument("--seed", type=int, default=0, help="accepted for report "
-                   "reproducibility bookkeeping; verify itself is deterministic")
     _common(p)
     p.set_defaults(func=_cmd_verify)
 

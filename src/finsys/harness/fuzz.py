@@ -14,9 +14,8 @@ import warnings
 
 from .. import catalog
 from ..invsgrp import (
-    cyclic_group,
+    cyclic_groupoid,
     disjoint_union,
-    group_as_groupoid,
     matrix_groupoid,
     validate_inverse_semigroup,
 )
@@ -29,19 +28,12 @@ MAX_LPI_DEFAULT = 1024
 MAX_RING_DEFAULT = 64
 
 
-def _cyclic_groupoid(n):
-    C = cyclic_group(n)
-    return group_as_groupoid(C.elements, {(a, b): C.mul(a, b)
-                                          for a in C.elements
-                                          for b in C.elements}, "g0")
-
-
 def _groupoid_shapes():
     # (name, groupoid builder, sum over bisections of |c(U)|)
     return [
         ("trivial", lambda: matrix_groupoid([1]), 1),
-        ("loop_c2", lambda: _cyclic_groupoid(2), 2),
-        ("loop_c3", lambda: _cyclic_groupoid(3), 3),
+        ("loop_c2", lambda: cyclic_groupoid(2), 2),
+        ("loop_c3", lambda: cyclic_groupoid(3), 3),
         ("disc2", lambda: disjoint_union(matrix_groupoid([1]),
                                          matrix_groupoid([1])), 4),
         ("pair2_pt", lambda: disjoint_union(matrix_groupoid([1, 2]),
@@ -74,11 +66,7 @@ def _ga_instance(rng: random.Random, max_lpi: int) -> InstanceFile | None:
     K = _named_ring(kname)
     G = build()
     pi, _space = ga_partial_action(K, G)
-    inst = InstanceFile()
-    inst.add("ring", "A", pi.ring)
-    inst.add("semigroup", "S", pi.sgrp)
-    inst.add("paction", "pi", pi)
-    return inst
+    return _wrap(pi)
 
 
 def _fingerprint(table):
@@ -231,7 +219,9 @@ def _restriction_instance(rng: random.Random, max_ring: int,
 def random_instances(seed: int, count: int, max_ring: int = MAX_RING_DEFAULT,
                      max_lpi: int = MAX_LPI_DEFAULT) -> list[InstanceFile]:
     """Deterministic for a fixed seed; bounds are clamped to the global caps
-    with a warning."""
+    with a warning.  Each instance's source tag is ``fuzz:SEED:IDX``, followed
+    by ``:max_ring=N`` and ``:max_lpi=N`` for (clamped) bounds that differ from
+    the defaults, so that ``fuzz_instance`` regenerates it."""
     from ..finring import DEFAULT_ORDER_CAP
 
     if max_lpi > DEFAULT_ORDER_CAP:
@@ -242,6 +232,9 @@ def random_instances(seed: int, count: int, max_ring: int = MAX_RING_DEFAULT,
         warnings.warn(f"max_ring {max_ring} exceeds the order cap; "
                       f"clamping to {DEFAULT_ORDER_CAP}")
         max_ring = DEFAULT_ORDER_CAP
+    bounds = "".join(f":{key}={value}" for key, value, default in (
+        ("max_ring", max_ring, MAX_RING_DEFAULT),
+        ("max_lpi", max_lpi, MAX_LPI_DEFAULT)) if value != default)
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -253,6 +246,14 @@ def random_instances(seed: int, count: int, max_ring: int = MAX_RING_DEFAULT,
         else:
             inst = _restriction_instance(rng, max_ring, max_lpi)
         if inst is not None:
-            inst.source = f"fuzz:{seed}:{len(out)}"
+            inst.source = f"fuzz:{seed}:{len(out)}{bounds}"
             out.append(inst)
     return out
+
+
+def fuzz_instance(source: str) -> InstanceFile:
+    """The instance a source tag of ``random_instances`` names; a malformed
+    tag raises TypeError or ValueError."""
+    _, seed, idx, *bounds = source.split(":")
+    kwargs = {key: int(value) for key, value in (b.split("=") for b in bounds)}
+    return random_instances(int(seed), int(idx) + 1, **kwargs)[int(idx)]

@@ -8,9 +8,8 @@ from .. import catalog
 from ..finring import FinRing, subgroup_closure
 from ..invsgrp import (
     FinGroupoid,
-    cyclic_group,
+    cyclic_groupoid,
     disjoint_union,
-    group_as_groupoid,
     matrix_groupoid,
     symmetric_inverse_monoid,
 )
@@ -53,13 +52,6 @@ def named_ring(name: str) -> FinRing:
     return _RING_BUILDERS[name]()
 
 
-def _cyclic_groupoid(n: int) -> FinGroupoid:
-    C = cyclic_group(n)
-    return group_as_groupoid(C.elements, {(a, b): C.mul(a, b)
-                                          for a in C.elements
-                                          for b in C.elements}, "g0")
-
-
 def _int(params, key, default):
     value = params.pop(key, default)
     try:
@@ -98,7 +90,7 @@ def _group_as_groupoid_scenario(params) -> InstanceFile:
     if not 1 <= n <= 6:
         raise BadParams("group order must be between 1 and 6")
     K = named_ring(kname)
-    G = _cyclic_groupoid(n)
+    G = cyclic_groupoid(n)
     inst = InstanceFile()
     _add_gpa(inst, kname, K, f"loop_{group}", G, groupoid_ring_action(K, G))
     return inst
@@ -154,7 +146,7 @@ def build_galois(p: int, n: int) -> GaloisScenario:
         field = catalog.galois_field(p, n)
     except Exception as exc:
         raise BadParams(str(exc))
-    G = _cyclic_groupoid(n)
+    G = cyclic_groupoid(n)
     frob = catalog.frobenius_map(field, p)
     whole = subgroup_closure(field, field.basis())
     power = {x: x for x in field.elements()}

@@ -70,10 +70,6 @@ class InverseSemigroup:
         return f"InverseSemigroup({len(self.elements)} elements)"
 
 
-def natural_order(S: InverseSemigroup, s, t) -> bool:
-    return S.leq(s, t)
-
-
 def validate_inverse_semigroup(table, labels) -> InverseSemigroup:
     """Check associativity and the unique-inverse axiom; compute the star map.
 
@@ -265,6 +261,14 @@ def group_as_groupoid(labels, table, unit) -> FinGroupoid:
     if G.identity["*"] != unit:
         raise GroupoidError("declared unit is not the identity morphism")
     return G
+
+
+def cyclic_groupoid(n: int) -> FinGroupoid:
+    """The cyclic group of order n as a one-object groupoid, labels g0..g{n-1}."""
+    C = cyclic_group(n)
+    return group_as_groupoid(C.elements, {(a, b): C.mul(a, b)
+                                          for a in C.elements
+                                          for b in C.elements}, "g0")
 
 
 def disjoint_union(G1: FinGroupoid, G2: FinGroupoid,

@@ -15,6 +15,7 @@ from .finring import (
     Ideal,
     MalformedSpec,
     Subgroup,
+    _absorption_escape,
     ideal_closure,
     ring_on_subgroup,
     subgroup_closure,
@@ -54,6 +55,7 @@ class PartialAction:
         self.domains = dict(domains)     # s -> Ideal
         self.maps = dict(maps)           # s -> {element of D_{s*}: element of D_s}
         self.groupoid = groupoid         # set when induced from a groupoid action
+        self._unitality: dict | None = None  # action_unitality, once computed
 
     def apply(self, s, x):
         return self.maps[s][x]
@@ -68,13 +70,10 @@ def identity_map(domain) -> dict:
 
 
 def _check_ideal(ring: FinRing, sub: Subgroup, label) -> Ideal:
-    k = len(ring.group.ranks)
-    for x in sub:
-        for i in range(k):
-            if ring.mul_basis_left(i, x) not in sub or \
-               ring.mul_basis_right(x, i) not in sub:
-                raise NotIdeal(f"domain of {fmt(label)} is not a two-sided ideal "
-                               f"(fails at {x})")
+    escape = _absorption_escape(ring, sub)
+    if escape is not None:
+        raise NotIdeal(f"domain of {fmt(label)} is not a two-sided ideal "
+                       f"(fails at {escape[0]})")
     return Ideal(ring, sub.elements, sub.generators, "two-sided", trusted=True)
 
 
@@ -162,32 +161,37 @@ def validate_partial_action(A: FinRing, S: InverseSemigroup, domains,
 
 
 def action_unitality(pi: PartialAction) -> dict:
-    """Ring unitality of every domain, aggregated over the family."""
-    out = {"unital": True, "locally_unital": True,
-           "left_s_unital": True, "right_s_unital": True, "s_unital": True}
-    for s in pi.sgrp.elements:
-        flags = unitality_predicates(pi.ring, pi.domains[s])
-        for key in out:
-            out[key] = out[key] and flags[key]
-    return out
+    """Ring unitality and idempotency of every domain, aggregated over the
+    family; computed once per action."""
+    if pi._unitality is None:
+        out = {"unital": True, "locally_unital": True, "left_s_unital": True,
+               "right_s_unital": True, "s_unital": True, "idempotent_ring": True}
+        for s in pi.sgrp.elements:
+            flags = unitality_predicates(pi.ring, pi.domains[s])
+            for key in out:
+                out[key] = out[key] and flags[key]
+        pi._unitality = out
+    return pi._unitality
+
+
+def _invariant_closure(A: FinRing, moves, a) -> Ideal:
+    """Smallest ideal containing a that every (table, source) pair of
+    ``moves`` carries into itself, the table applied on its source ideal."""
+    current = ideal_closure(A, [A.group.reduce(a)])
+    while True:
+        extra = [table[x] for table, src in moves
+                 for x in current.elements & src.elements
+                 if table[x] not in current]
+        if not extra:
+            return current
+        current = ideal_closure(A, sorted(current.elements | set(extra)))
 
 
 def s_invariant_closure(pi: PartialAction, a) -> Ideal:
     """Smallest ideal containing a that is carried into itself by every pi_s."""
-    A = pi.ring
-    current = ideal_closure(A, [A.group.reduce(a)])
-    while True:
-        extra = []
-        for s in pi.sgrp.elements:
-            table = pi.maps[s]
-            src = pi.domains[pi.sgrp.star(s)]
-            for x in current.elements & src.elements:
-                y = table[x]
-                if y not in current:
-                    extra.append(y)
-        if not extra:
-            return current
-        current = ideal_closure(A, sorted(current.elements | set(extra)))
+    S = pi.sgrp
+    moves = [(pi.maps[s], pi.domains[S.star(s)]) for s in S.elements]
+    return _invariant_closure(pi.ring, moves, a)
 
 
 def is_invariant_ideal(pi: PartialAction, J: Subgroup) -> bool:
@@ -352,23 +356,17 @@ def induced_action(gpa: GroupoidPartialAction) -> PartialAction:
 
 
 def is_groupoid_simple(gpa: GroupoidPartialAction):
-    """(bool, witness) for simplicity under groupoid invariance."""
+    """(bool, witness) for simplicity under groupoid invariance, closing
+    under the groupoid's own maps rather than the induced action's."""
     A = gpa.ring
     inv = gpa.groupoid.inverse
     if A.order == 1:
         return False, {"a": None}
+    moves = [(gpa.maps[g], gpa.ideals[inv[g]]) for g in gpa.groupoid.morphisms]
     for a in A.elements():
         if a == A.zero:
             continue
-        current = ideal_closure(A, [a])
-        while True:
-            extra = [gpa.maps[g][x]
-                     for g in gpa.groupoid.morphisms
-                     for x in current.elements & gpa.ideals[inv[g]].elements
-                     if gpa.maps[g][x] not in current]
-            if not extra:
-                break
-            current = ideal_closure(A, sorted(current.elements | set(extra)))
+        current = _invariant_closure(A, moves, a)
         if len(current) < A.order:
             return False, {"a": a, "ideal_order": len(current)}
     return True, None

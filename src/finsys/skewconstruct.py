@@ -31,6 +31,7 @@ from .invsgrp import InternalInconsistency
 from .paction import (
     GroupoidPartialAction,
     PartialAction,
+    action_unitality,
     induced_action,
     is_action_simple,
     is_faithful,
@@ -39,6 +40,7 @@ from .paction import (
 from .syscheck import (
     SystemRing,
     SystemVerdict,
+    _status,
     center_of_part,
     centralizer_condition,
     epsilon_strong_predicates,
@@ -230,10 +232,7 @@ def build_skew_ring(pi: PartialAction, cap: int = DEFAULT_SKEW_CAP) -> SkewRing:
                for i in rel.sorted_elements())
 
     base_image = None
-    su = unitality_predicates(pi.ring)["s_unital"] and \
-        all(unitality_predicates(pi.ring, pi.domains[s])["s_unital"]
-            for s in pi.sgrp.elements)
-    if su:
+    if unitality_predicates(pi.ring)["s_unital"] and action_unitality(pi)["s_unital"]:
         base_image = _base_image(Q, lpi, quot.project)
         _verify_base_embedding(pi, lpi, Q, grading, base_image, t_ok, quot)
     return SkewRing(lpi, quot, rel, grading, t_ok, base_image)
@@ -330,17 +329,15 @@ def grading_structure_checks(pi: PartialAction, cap: int = DEFAULT_SKEW_CAP,
         verdict.add(f"corner_unitality_matches.{side}",
                     "PASS" if mismatch is None else "FAIL", mismatch)
 
-    dom_idem = all(unitality_predicates(A, pi.domains[s])["idempotent_ring"]
-                   for s in S.elements)
+    dom_idem = action_unitality(pi)["idempotent_ring"]
     verdict.add("symmetric_iff_domains_idempotent",
                 "PASS" if preds["symmetric"] == dom_idem else "FAIL",
                 None if preds["symmetric"] == dom_idem else
                 {"symmetric": preds["symmetric"], "domains_idempotent": dom_idem})
 
     eps = epsilon_strong_predicates(lpi.grading, "s-unital")
-    action_su = {side: all(
-        unitality_predicates(A, pi.domains[s])[f"{side}_s_unital"]
-        for s in S.elements) for side in ("left", "right")}
+    action_su = {side: action_unitality(pi)[f"{side}_s_unital"]
+                 for side in ("left", "right")}
     for side in ("left", "right"):
         ok = eps[side] == action_su[side]
         verdict.add(f"epsilon_strong_iff_action_s_unital.{side}",
@@ -356,20 +353,13 @@ def grading_structure_checks(pi: PartialAction, cap: int = DEFAULT_SKEW_CAP,
     return verdict
 
 
-def _status(hyp, concl):
-    if not hyp:
-        return "VACUOUS"
-    return "PASS" if concl else "FAIL"
-
-
 def skew_simplicity_verdict(pi: PartialAction, cap: int = DEFAULT_SKEW_CAP,
                             skew: SkewRing | None = None) -> SystemVerdict:
     """Simplicity of the skew ring against action simplicity and centralizer
     conditions; everything is gated on the action and base being s-unital."""
     verdict = SystemVerdict()
     A = pi.ring
-    su_action = all(unitality_predicates(A, pi.domains[s])["s_unital"]
-                    for s in pi.sgrp.elements)
+    su_action = action_unitality(pi)["s_unital"]
     su_base = unitality_predicates(A)["s_unital"]
     if not (su_action and su_base):
         for name in ("system_simple_iff_action_simple",
@@ -524,9 +514,9 @@ def skew_groupoid_verdict(gpa: GroupoidPartialAction,
                           cap: int = DEFAULT_SKEW_CAP) -> SystemVerdict:
     """Groupoid-ring simplicity battery: the induced-action battery plus the
     groupoid-invariance sides."""
-    pi = induced_action(gpa)
     verdict = SystemVerdict()
     skew, ident = skew_groupoid_ring(gpa, cap=cap)
+    pi = skew.lpi.action
     verdict.extend(ident)
 
     g_simple, g_witness = is_groupoid_simple(gpa)

@@ -106,11 +106,6 @@ def steinberg_ring(K: FinRing, G: FinGroupoid,
     k = width * len(mors)
     pos = {g: i * width for i, g in enumerate(mors)}
 
-    def basis_fn(g, i):
-        key = [0] * k
-        key[pos[g] + i] = 1
-        return tuple(key)
-
     sc = [[None] * k for _ in range(k)]
     for g in mors:
         for i in range(width):
@@ -254,15 +249,15 @@ def greedy_bisection_split(space: FunctionSpace, G: FinGroupoid, vec):
     return pieces
 
 
-def translation(K: FinRing, G: FinGroupoid,
-                bisection_cap: int = DEFAULT_BISECTION_CAP,
-                cap: int = DEFAULT_SKEW_CAP) -> TranslationPair:
-    """Build both sides and verify they are inverse ring isomorphisms
-    exhaustively; also checks that the greedy and the singleton indicator
-    decompositions give the same skew element."""
-    pi, objects = ga_partial_action(K, G, bisection_cap=bisection_cap, cap=cap)
-    skew = build_skew_ring(pi, cap=cap)
-    functions = steinberg_ring(K, G, cap=cap)
+def translation(pi: PartialAction, objects: FunctionSpace, skew: SkewRing,
+                functions: FunctionSpace) -> TranslationPair:
+    """Verify exhaustively that the skew ring of the bisection action ``pi``
+    (as returned by ga_partial_action, with ``objects`` its function space)
+    and the convolution algebra ``functions`` are inverse ring isomorphisms;
+    also checks that the greedy and the singleton indicator decompositions
+    give the same skew element."""
+    K = objects.K
+    G = pi.groupoid
     S = pi.sgrp
     lpi = skew.lpi
 
@@ -331,8 +326,15 @@ def simplicity_verdicts(K: FinRing, G: FinGroupoid,
                         cap: int = DEFAULT_SKEW_CAP) -> SystemVerdict:
     """Simplicity of the convolution algebra against effectiveness,
     minimality and coefficient simplicity, plus the bisection-action
-    characterisations.  Rows whose hypotheses fail report VACUOUS; rows
-    whose constructions exceed the caps report SKIPPED."""
+    characterisations, then the exhaustive translation round trips.  Rows
+    whose hypotheses fail report VACUOUS; rows whose constructions exceed the
+    caps report SKIPPED.
+
+    The convolution algebra, the bisection action and its skew ring are each
+    built once and handed to every row that reads them.  Since |objects| <=
+    |morphisms|, once the convolution algebra fits the cap the action can
+    only exceed the bisection cap; the skew ring has its own cap.
+    """
     verdict = SystemVerdict()
     preds = groupoid_predicates(G)
     verdict.add("groupoid_lemma_crosschecks", "PASS", {
@@ -341,29 +343,28 @@ def simplicity_verdicts(K: FinRing, G: FinGroupoid,
     space = steinberg_ring(K, G, cap=cap)
     verdict.add("convolution_matches_groupoid_ring", "PASS")
 
+    ga = skew = None
     try:
-        bis = bisection_semigroup(G, cap=bisection_cap).elements
-        witness = indicator_law_witness(space, G, bis)
+        ga, objects = ga_partial_action(K, G, bisection_cap=bisection_cap,
+                                        cap=cap)
+        skew = build_skew_ring(ga, cap=cap)
+    except CapExceeded:
+        pass
+
+    if ga is None:
+        verdict.add("indicator_convolution_law", "SKIPPED", {"reason": "cap"})
+    else:
+        witness = indicator_law_witness(space, G, ga.sgrp.elements)
         verdict.add("indicator_convolution_law",
                     "PASS" if witness is None else "FAIL", witness)
-    except CapExceeded:
-        verdict.add("indicator_convolution_law", "SKIPPED", {"reason": "cap"})
-        bis = None
 
     alg_simple = is_simple(space.ring)
     k_simple = is_simple(K)
     k_flags = unitality_predicates(K)
     zsu = z_s_units(K)
 
-    ga = None
-    if bis is not None:
-        try:
-            ga, objects = ga_partial_action(K, G, bisection_cap=bisection_cap,
-                                            cap=cap)
-        except CapExceeded:
-            ga = None
     if ga is not None:
-        faithful, faithful_witness = is_faithful(ga)
+        faithful, _ = is_faithful(ga)
         ga_simple, ga_witness = is_action_simple(ga)
         ok = preds["effective_discrete"] == faithful
         verdict.add("effective_iff_faithful", "PASS" if ok else "FAIL",
@@ -405,26 +406,21 @@ def simplicity_verdicts(K: FinRing, G: FinGroupoid,
         verdict.add("steinberg_simplicity", "VACUOUS", {"z_s_units": False})
         verdict.add("matrix_recognition", "VACUOUS", {"z_s_units": False})
 
-    if ga is not None and zsu:
-        try:
-            skew = build_skew_ring(ga, cap=cap)
-            base = skew.grading.r0
-            zt = Subgroup(skew.ring,
-                          centralizer(skew.ring, base).elements & base.elements,
-                          trusted=True)
-            cent_ok = centralizer(skew.ring, zt).elements <= base.elements
-            faithful, _ = is_faithful(ga)
-            ok = preds["effective_discrete"] == faithful == cent_ok
-            verdict.add("effective_three_way", "PASS" if ok else "FAIL",
-                        None if ok else {"effective": preds["effective_discrete"],
-                                         "faithful": faithful,
-                                         "centralizer_in_base": cent_ok})
-        except CapExceeded:
-            verdict.add("effective_three_way", "SKIPPED", {"reason": "cap"})
+    if ga is not None and not zsu:
+        verdict.add("effective_three_way", "VACUOUS", {"z_s_units": zsu})
+    elif skew is None:
+        verdict.add("effective_three_way", "SKIPPED", {"reason": "cap"})
     else:
-        verdict.add("effective_three_way",
-                    "SKIPPED" if ga is None else "VACUOUS",
-                    {"reason": "cap"} if ga is None else {"z_s_units": zsu})
+        base = skew.grading.r0
+        zt = Subgroup(skew.ring,
+                      centralizer(skew.ring, base).elements & base.elements,
+                      trusted=True)
+        cent_ok = centralizer(skew.ring, zt).elements <= base.elements
+        ok = preds["effective_discrete"] == faithful == cent_ok
+        verdict.add("effective_three_way", "PASS" if ok else "FAIL",
+                    None if ok else {"effective": preds["effective_discrete"],
+                                     "faithful": faithful,
+                                     "centralizer_in_base": cent_ok})
 
     if not alg_simple and not k_simple and K.order > 1:
         # the functions valued in a proper nonzero coefficient ideal form a
@@ -439,24 +435,16 @@ def simplicity_verdicts(K: FinRing, G: FinGroupoid,
             verdict.add("coefficient_ideal_witness",
                         "PASS" if 1 < len(span) < space.ring.order else "FAIL",
                         {"ideal_order": len(span)})
-    return verdict
 
-
-def roundtrip_verdict(K: FinRing, G: FinGroupoid,
-                      bisection_cap: int = DEFAULT_BISECTION_CAP,
-                      cap: int = DEFAULT_SKEW_CAP) -> SystemVerdict:
-    """Exhaustive translation checks as report rows (SKIPPED over the caps)."""
-    verdict = SystemVerdict()
-    try:
-        pair = translation(K, G, bisection_cap=bisection_cap, cap=cap)
-    except CapExceeded:
+    if skew is None:
         for name in ("roundtrip_function_side", "roundtrip_skew_side",
                      "translation_homomorphisms"):
             verdict.add(name, "SKIPPED", {"reason": "cap"})
-        return verdict
-    # translation() raises on any violation, so reaching here means PASS
-    verdict.add("roundtrip_function_side", "PASS",
-                {"checked": len(pair.beta)})
-    verdict.add("roundtrip_skew_side", "PASS", {"checked": len(pair.alpha)})
-    verdict.add("translation_homomorphisms", "PASS")
+    else:
+        # translation() raises on any violation, so reaching here means PASS
+        pair = translation(ga, objects, skew, space)
+        verdict.add("roundtrip_function_side", "PASS",
+                    {"checked": len(pair.beta)})
+        verdict.add("roundtrip_skew_side", "PASS", {"checked": len(pair.alpha)})
+        verdict.add("translation_homomorphisms", "PASS")
     return verdict

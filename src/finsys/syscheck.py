@@ -109,6 +109,7 @@ class SystemRing:
         self._corner_right: dict = {}
         self._decomposition: dict | None = None
         self._system_simple: tuple | None = None   # is_system_simple, once computed
+        self._predicates: dict | None = None       # structural_predicates, once computed
 
     def _sum_over(self, keys) -> Subgroup:
         gens = []
@@ -254,7 +255,14 @@ def _nondegenerate(sr: SystemRing, side: str, base: str):
 
 def structural_predicates(sr: SystemRing) -> dict:
     """Gradedness, strength, coherence, symmetry and both non-degeneracy
-    readings (idempotent-base quantifier and all-of-S quantifier)."""
+    readings (idempotent-base quantifier and all-of-S quantifier).  Computed
+    once per system: a SystemRing does not change after construction."""
+    if sr._predicates is None:
+        sr._predicates = _structural_predicates(sr)
+    return sr._predicates
+
+
+def _structural_predicates(sr: SystemRing) -> dict:
     S, R = sr.sgrp, sr.ring
     strong = True
     for s in S.elements:

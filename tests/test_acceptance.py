@@ -21,6 +21,7 @@ from finsys.finring import (
 from finsys.harness import parse_path, random_instances, run, scenario
 from finsys.harness.scenarios import build_galois, named_ring
 from finsys.invsgrp import (
+    cyclic_groupoid,
     disjoint_union,
     groupoid_predicates,
     matrix_groupoid,
@@ -48,14 +49,6 @@ def criterion(number, slug, budget_s):
     assert elapsed < budget_s, f"criterion {number} took {elapsed:.1f}s, " \
                                f"budget {budget_s}s"
     print(f"ACCEPTANCE {number} ({slug}): PASS [{elapsed:.1f}s]")
-
-
-def _loop_groupoid(n):
-    from finsys.invsgrp import cyclic_group, group_as_groupoid
-    C = cyclic_group(n)
-    return group_as_groupoid(C.elements, {(a, b): C.mul(a, b)
-                                          for a in C.elements
-                                          for b in C.elements}, "g0")
 
 
 _CORPUS = None
@@ -205,9 +198,9 @@ def test_criterion_7_epsilon_agreement_and_system_simplicity(fuzz_corpus,
 ROUNDTRIP_FIXTURES = [
     ("F2", lambda: matrix_groupoid([1])),
     ("F4", lambda: matrix_groupoid([1])),
-    ("F2", lambda: _loop_groupoid(2)),
-    ("F4", lambda: _loop_groupoid(2)),
-    ("F2", lambda: _loop_groupoid(3)),
+    ("F2", lambda: cyclic_groupoid(2)),
+    ("F4", lambda: cyclic_groupoid(2)),
+    ("F2", lambda: cyclic_groupoid(3)),
     ("F2", lambda: disjoint_union(matrix_groupoid([1]), matrix_groupoid([1]))),
     ("F2xF2", lambda: disjoint_union(matrix_groupoid([1]), matrix_groupoid([1]))),
     ("F2", lambda: matrix_groupoid([1, 2])),
@@ -222,7 +215,9 @@ def test_criterion_8_translation_roundtrips():
             G = build()
             assert K.order ** len(G.morphisms) <= 4096
             start = time.perf_counter()
-            pair = translation(K, G)   # raises on any violation
+            pi, objects = ga_partial_action(K, G)
+            pair = translation(pi, objects, build_skew_ring(pi),
+                               steinberg_ring(K, G))   # raises on any violation
             assert len(pair.alpha) == pair.skew.ring.order
             assert len(pair.beta) == K.order ** len(G.morphisms)
             assert time.perf_counter() - start < 60
@@ -230,8 +225,8 @@ def test_criterion_8_translation_roundtrips():
 
 SMALL_GROUPOIDS = [
     ("trivial", lambda: matrix_groupoid([1])),
-    ("loop2", lambda: _loop_groupoid(2)),
-    ("loop3", lambda: _loop_groupoid(3)),
+    ("loop2", lambda: cyclic_groupoid(2)),
+    ("loop3", lambda: cyclic_groupoid(3)),
     ("disc2", lambda: disjoint_union(matrix_groupoid([1]), matrix_groupoid([1]))),
     ("disc3", lambda: disjoint_union(
         disjoint_union(matrix_groupoid([1]), matrix_groupoid([1]), "a", "b"),
@@ -239,7 +234,7 @@ SMALL_GROUPOIDS = [
     ("pair2", lambda: matrix_groupoid([1, 2])),
     ("pair2_pt", lambda: disjoint_union(matrix_groupoid([1, 2]),
                                         matrix_groupoid([1]))),
-    ("loop2_pt", lambda: disjoint_union(_loop_groupoid(2), matrix_groupoid([1]))),
+    ("loop2_pt", lambda: disjoint_union(cyclic_groupoid(2), matrix_groupoid([1]))),
 ]
 
 

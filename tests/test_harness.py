@@ -226,12 +226,24 @@ def test_replay_roundtrip(tmp_path):
     assert not ok
 
 
+def test_fuzz_source_tag_names_non_default_bounds():
+    assert random_instances(5, 1)[0].source == "fuzz:5:0"
+    assert random_instances(5, 1, max_ring=9)[0].source == "fuzz:5:0:max_ring=9"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inst = random_instances(5, 1, max_lpi=10 ** 9)[0]
+    assert inst.source == "fuzz:5:0:max_lpi=4096"
+
+
 def test_replay_fuzz_source():
     inst = random_instances(5, 1)[0]
     report = run(inst)
     record = report.rows[0].record(instance=inst.source)
     ok, message = replay(record)
     assert ok, message
+    for bad in ("fuzz:5:0:bogus=1", "fuzz:5:0:max_ring", "fuzz:5"):
+        ok, message = replay(dict(record, instance=bad))
+        assert not ok and message.startswith("bad fuzz source tag")
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +295,35 @@ def test_cli_fuzz_machine_output_replays(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(records)
     assert all(line.startswith("REPLAY OK: ") for line in lines)
+
+
+def test_cli_fuzz_non_default_bounds_replay(tmp_path, capsys):
+    # the source tag carries the bounds, so replay regenerates the instances
+    assert main(["fuzz", "--seed", "5", "--count", "6", "--max-ring", "9",
+                 "--max-lpi", "81", "--format", "machine"]) == 0
+    records = capsys.readouterr().out.splitlines()
+    assert records
+    assert all(json.loads(line)["instance"].endswith(":max_ring=9:max_lpi=81")
+               for line in records)
+    witness_file = tmp_path / "fuzz.jsonl"
+    witness_file.write_text("\n".join(records))
+    assert main(["replay", str(witness_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(records)
+    assert all(line.startswith("REPLAY OK: ") for line in lines)
+
+
+def test_cli_replay_uses_its_caps(tmp_path, capsys):
+    assert main(["verify", str(FIXTURES / "swap_action.ins"), "--skew-cap", "4",
+                 "--format", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert '"status": "SKIPPED"' in out
+    witness_file = tmp_path / "records.jsonl"
+    witness_file.write_text(out)
+    assert main(["replay", str(witness_file), "--skew-cap", "4"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+    assert main(["replay", str(witness_file)]) == 1
+    assert "REPLAY MISMATCH: check paction.swap.skew_ring" in capsys.readouterr().out
 
 
 def test_cli_build_skew(capsys):

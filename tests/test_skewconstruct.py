@@ -4,8 +4,8 @@ from finsys import catalog
 from finsys.finring import is_simple, subgroup_closure, unitality_predicates
 from finsys.invsgrp import (
     cyclic_group,
+    cyclic_groupoid,
     disjoint_union,
-    group_as_groupoid,
     matrix_groupoid,
 )
 from finsys.paction import (
@@ -38,17 +38,11 @@ def trivial_action():
     return validate_partial_action(F2, C1, {"g0": whole}, {"g0": None})
 
 
-def one_object_c2_groupoid():
-    return group_as_groupoid(C2.elements, {(a, b): C2.mul(a, b)
-                                           for a in C2.elements
-                                           for b in C2.elements}, "g0")
-
-
 def frobenius_gpa():
     whole = subgroup_closure(F4, F4.basis())
     frob = catalog.frobenius_map(F4, 2)
     return validate_groupoid_partial_action(
-        F4, one_object_c2_groupoid(),
+        F4, cyclic_groupoid(2),
         {"g0": whole, "g1": whole}, {"g0": None, "g1": frob})
 
 
@@ -140,7 +134,7 @@ def test_pair_groupoid_skew_ring_is_simple_16():
 
 
 def test_group_ring_skew_is_group_algebra():
-    gpa = groupoid_ring_action(F2, one_object_c2_groupoid())
+    gpa = groupoid_ring_action(F2, cyclic_groupoid(2))
     skew, ident = skew_groupoid_ring(gpa)
     assert skew.ring.order == 4
     assert skew.ring.is_commutative
@@ -232,7 +226,7 @@ def test_simplicity_verdict_pair_groupoid():
 
 
 def test_simplicity_verdict_group_ring_negative():
-    gpa = groupoid_ring_action(F2, one_object_c2_groupoid())
+    gpa = groupoid_ring_action(F2, cyclic_groupoid(2))
     verdict = skew_groupoid_verdict(gpa)
     assert verdict.ok(), [r.line() for r in verdict.results if r.status == "FAIL"]
     # not simple and not maximal commutative: biconditional still PASS

@@ -1,18 +1,17 @@
 from finsys import catalog
 from finsys.finring import ideal_closure, is_simple
 from finsys.invsgrp import (
-    cyclic_group,
+    cyclic_groupoid,
     disjoint_union,
-    group_as_groupoid,
     matrix_groupoid,
 )
 from finsys.paction import is_action_simple, is_faithful
+from finsys.skewconstruct import build_skew_ring
 from finsys.steinberg import (
     ga_partial_action,
     greedy_bisection_split,
     indicator_law_witness,
     pointwise_function_ring,
-    roundtrip_verdict,
     simplicity_verdicts,
     steinberg_ring,
     theta,
@@ -30,11 +29,9 @@ TRIVIAL = matrix_groupoid([1])
 DISC2 = disjoint_union(matrix_groupoid([1]), matrix_groupoid([1]))
 
 
-def c2_groupoid():
-    C2 = cyclic_group(2)
-    return group_as_groupoid(C2.elements, {(a, b): C2.mul(a, b)
-                                           for a in C2.elements
-                                           for b in C2.elements}, "g0")
+def built_translation(K, G):
+    pi, objects = ga_partial_action(K, G)
+    return translation(pi, objects, build_skew_ring(pi), steinberg_ring(K, G))
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +64,7 @@ def test_indicator_law_exhaustive():
 
 
 def test_group_algebra_not_simple():
-    sp = steinberg_ring(F2, c2_groupoid())
+    sp = steinberg_ring(F2, cyclic_groupoid(2))
     assert sp.ring.order == 4
     assert not is_simple(sp.ring)
     # the ideal generated by 1+g is proper
@@ -86,7 +83,7 @@ def test_theta_on_pair_groupoid():
 
 
 def test_ga_action_validates_on_fixtures():
-    for G in (TRIVIAL, PAIR2, DISC2, c2_groupoid()):
+    for G in (TRIVIAL, PAIR2, DISC2, cyclic_groupoid(2)):
         for K in (F2, F4):
             pi, space = ga_partial_action(K, G)
             assert pi.groupoid is G
@@ -111,7 +108,7 @@ def test_ga_action_swap_moves_indicators():
 
 
 def test_ga_action_faithful_iff_effective():
-    for G in (PAIR2, DISC2, c2_groupoid()):
+    for G in (PAIR2, DISC2, cyclic_groupoid(2)):
         from finsys.invsgrp import groupoid_predicates
         pi, _ = ga_partial_action(F2, G)
         assert is_faithful(pi)[0] == groupoid_predicates(G)["effective_discrete"]
@@ -130,15 +127,15 @@ def test_ga_action_simplicity():
 
 
 def test_translation_roundtrip_pair_groupoid():
-    pair = translation(F2, PAIR2)
+    pair = built_translation(F2, PAIR2)
     assert pair.skew.ring.order == 16
     assert len(pair.alpha) == 16 and len(pair.beta) == 16
 
 
 def test_translation_roundtrip_other_fixtures():
-    for K, G in ((F2, TRIVIAL), (F2, DISC2), (F2, c2_groupoid()),
-                 (F4, c2_groupoid()), (F2xF2, DISC2)):
-        pair = translation(K, G)
+    for K, G in ((F2, TRIVIAL), (F2, DISC2), (F2, cyclic_groupoid(2)),
+                 (F4, cyclic_groupoid(2)), (F2xF2, DISC2)):
+        pair = built_translation(K, G)
         assert len(pair.alpha) == pair.skew.ring.order
 
 
@@ -158,8 +155,11 @@ def test_greedy_split_is_disjoint_bisection_cover():
 
 
 def test_roundtrip_verdict_rows():
-    verdict = roundtrip_verdict(F2, PAIR2)
+    verdict = simplicity_verdicts(F2, PAIR2)
     assert verdict.ok()
+    assert [r.name for r in verdict.results[-3:]] == [
+        "roundtrip_function_side", "roundtrip_skew_side",
+        "translation_homomorphisms"]
     assert verdict.by_name("roundtrip_function_side").witness["checked"] == 16
 
 
@@ -189,7 +189,7 @@ def test_verdicts_pair_groupoid_simple():
 
 
 def test_verdicts_group_groupoid_negative():
-    verdict = simplicity_verdicts(F2, c2_groupoid())
+    verdict = simplicity_verdicts(F2, cyclic_groupoid(2))
     assert verdict.ok()
     # thin fails, so the algebra must not be simple; biconditionals hold
     assert verdict.by_name("steinberg_simplicity").status == "PASS"
@@ -231,7 +231,7 @@ def test_verdicts_noncommutative_coefficients():
     assert verdict.by_name("steinberg_simplicity").status == "PASS"
     sp = steinberg_ring(M2, DISC2)
     assert not is_simple(sp.ring)
-    verdict = simplicity_verdicts(M2, c2_groupoid())
+    verdict = simplicity_verdicts(M2, cyclic_groupoid(2))
     assert verdict.ok()
 
 
@@ -239,7 +239,7 @@ def test_verdicts_isotropy_bundle():
     # connected and minimal but not effective: simplicity must fail through
     # the isotropy, not through the coefficients or connectivity
     from finsys.invsgrp import groupoid_predicates, product_groupoid
-    G = product_groupoid(PAIR2, c2_groupoid())
+    G = product_groupoid(PAIR2, cyclic_groupoid(2))
     preds = groupoid_predicates(G)
     assert preds["minimal_discrete"] and not preds["effective_discrete"]
     sp = steinberg_ring(F2, G)
