@@ -414,6 +414,27 @@ def _absorption_escape(R: FinRing, sub: Subgroup):
     return None
 
 
+def _hom_escape(A: FinRing, B: FinRing, table: dict, gens):
+    """First failure of ``table``, a map from a subring of A generated
+    additively by ``gens``, to be a ring homomorphism into B: ("additive",
+    (x, g)) or ("multiplicative", (g, h)); None if there is none.  Complete
+    by biadditivity: f(0) = 0 and f(x+g) = f(x)+f(g) for every x and every
+    generator g make f additive, and then f(xy) and f(x)f(y) are biadditive,
+    so they agree everywhere once they agree on generator pairs."""
+    if table[A.zero] != B.zero:
+        return "additive", (A.zero, A.zero)
+    images = [(g, table[g]) for g in gens]
+    for x in sorted(table):
+        for g, fg in images:
+            if table[A.add(x, g)] != B.add(table[x], fg):
+                return "additive", (x, g)
+    for g, fg in images:
+        for h, fh in images:
+            if table[A.mul(g, h)] != B.mul(fg, fh):
+                return "multiplicative", (g, h)
+    return None
+
+
 def ideal_closure(R: FinRing, gens, sidedness: str = "two-sided") -> Ideal:
     """Smallest ideal of the declared sidedness containing ``gens``.
 

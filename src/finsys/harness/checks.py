@@ -195,15 +195,9 @@ def _steinberg_battery(K, G, bisection_cap, skew_cap) -> SystemVerdict:
         return verdict
 
 
-def run(instance, checks=None, cap: int = DEFAULT_ORDER_CAP,
-        bisection_cap: int = DEFAULT_BISECTION_CAP,
-        skew_cap: int = DEFAULT_SKEW_CAP) -> Report:
-    """Execute the battery of every section (plus one battery per
-    ring-groupoid pair for the convolution algebras) and collect the report.
-
-    ``checks`` filters the emitted rows by substring; batteries always run in
-    declaration order so reports stay deterministic.
-    """
+def _batteries(instance, bisection_cap: int, skew_cap: int) -> list:
+    """(prefix, battery) pairs in report order; a battery's row ``name`` is
+    reported as ``prefix.name``."""
     batteries = []
     for kind, name in instance.order:
         obj = instance.get(kind, name)
@@ -237,9 +231,20 @@ def run(instance, checks=None, cap: int = DEFAULT_ORDER_CAP,
                 (f"steinberg.{rname}.{gname}",
                  lambda K=K, G=G: _steinberg_battery(K, G, bisection_cap,
                                                      skew_cap)))
+    return batteries
 
+
+def run(instance, checks=None, cap: int = DEFAULT_ORDER_CAP,
+        bisection_cap: int = DEFAULT_BISECTION_CAP,
+        skew_cap: int = DEFAULT_SKEW_CAP) -> Report:
+    """Execute the battery of every section (plus one battery per
+    ring-groupoid pair for the convolution algebras) and collect the report.
+
+    ``checks`` filters the emitted rows by substring; batteries always run in
+    declaration order so reports stay deterministic.
+    """
     report = Report(source=instance.source)
-    for prefix, battery in batteries:
+    for prefix, battery in _batteries(instance, bisection_cap, skew_cap):
         start = time.perf_counter()
         verdict = battery()
         elapsed = int(1000 * (time.perf_counter() - start))
@@ -254,7 +259,8 @@ def run(instance, checks=None, cap: int = DEFAULT_ORDER_CAP,
 def replay(record: dict, cap: int = DEFAULT_ORDER_CAP,
            bisection_cap: int = DEFAULT_BISECTION_CAP,
            skew_cap: int = DEFAULT_SKEW_CAP) -> tuple[bool, str]:
-    """Re-run the single named check of the recorded instance and compare.
+    """Re-run the battery that emits the named check of the recorded
+    instance and compare.
 
     Returns (ok, message).  The witness must reproduce exactly: a witness
     that does not re-verify means the original report cannot be trusted.
@@ -274,12 +280,13 @@ def replay(record: dict, cap: int = DEFAULT_ORDER_CAP,
             return False, f"bad fuzz source tag {path!r}: {exc}"
     else:
         instance = parse_path(path, cap=cap)
-    report = run(instance, checks=[name], cap=cap, bisection_cap=bisection_cap,
-                 skew_cap=skew_cap)
-    try:
-        row = report.by_name(name)
-    except KeyError:
+    # only a battery whose prefix heads the name can emit the row
+    rows = [row for prefix, battery in _batteries(instance, bisection_cap, skew_cap)
+            if name.startswith(prefix + ".")
+            for row in battery().results if f"{prefix}.{row.name}" == name]
+    if not rows:
         return False, f"check {name} did not run"
+    row = rows[0]
     if row.status != record.get("status"):
         return False, (f"status changed: recorded {record.get('status')}, "
                        f"got {row.status}")

@@ -10,6 +10,8 @@ import json
 import sys
 
 from ..finring import CapExceeded, DEFAULT_ORDER_CAP, MalformedSpec, is_simple
+from ..invsgrp import GroupoidError, NoInverse, NonUniqueInverse, NotAssociative
+from ..paction import AxiomI, AxiomII, AxiomIII, NotIdeal, NotIso
 from ..skewconstruct import (
     DEFAULT_SKEW_CAP,
     build_skew_ring,
@@ -17,6 +19,7 @@ from ..skewconstruct import (
     skew_simplicity_verdict,
 )
 from ..steinberg import DEFAULT_BISECTION_CAP
+from ..syscheck import ProductEscapes, SumNotWhole
 from .checks import Report, ReportRow, jsonable, replay, run
 from .files import ParseError, UnresolvedRef, parse_path, serialize
 from .fuzz import random_instances
@@ -234,11 +237,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, UnresolvedRef, BadParams, MalformedSpec,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            FileNotFoundError, json.JSONDecodeError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NotIso, NotIdeal, AxiomI, AxiomII, AxiomIII, NotAssociative,
+            NoInverse, NonUniqueInverse, GroupoidError, SumNotWhole,
+            ProductEscapes) as exc:
+        # an invalid instance (InternalInconsistency, a bug, is not caught);
+        # the message comes first, NotIso's args go on with a label and a pair
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
 

@@ -19,6 +19,7 @@ from .finring import (
     Ideal,
     RingQuotient,
     Subgroup,
+    _hom_escape,
     centralizer,
     ideal_closure,
     is_simple,
@@ -243,12 +244,9 @@ def _verify_base_embedding(pi, lpi, Q, grading, base_image, t_ok, quot):
     idempotent part, inverse to the coefficient sum.  Under the s-unitality
     gates a failure here is a bug, not a property of the instance."""
     A = pi.ring
-    for a in A.elements():
-        for b in A.elements():
-            if base_image[A.add(a, b)] != Q.add(base_image[a], base_image[b]):
-                raise InternalInconsistency("base embedding is not additive")
-            if base_image[A.mul(a, b)] != Q.mul(base_image[a], base_image[b]):
-                raise InternalInconsistency("base embedding is not multiplicative")
+    escape = _hom_escape(A, Q, base_image, A.basis())
+    if escape is not None:
+        raise InternalInconsistency(f"base embedding is not {escape[0]}")
     if len(set(base_image.values())) != A.order:
         raise InternalInconsistency("base embedding is not injective")
     if set(base_image.values()) != grading.r0.elements:
@@ -493,16 +491,11 @@ def skew_groupoid_ring(gpa: GroupoidPartialAction,
             vec[lstart:lstart + lwidth] = x[start:start + width]
         return skew.project(tuple(vec))
 
-    images = {identify(x) for x in direct.elements()}
-    bijective = direct.order == skew.ring.order and len(images) == direct.order
-    homomorphic = bijective
-    if bijective:
-        for a in direct.basis():
-            ia = identify(a)
-            for b in direct.basis():
-                if identify(direct.mul(a, b)) != skew.ring.mul(ia, identify(b)) \
-                        or identify(direct.add(a, b)) != skew.ring.add(ia, identify(b)):
-                    homomorphic = False
+    table = {x: identify(x) for x in direct.elements()}
+    bijective = (direct.order == skew.ring.order
+                 and len(set(table.values())) == direct.order)
+    homomorphic = bijective and _hom_escape(direct, skew.ring, table,
+                                            direct.basis()) is None
     verdict.add("direct_and_quotient_constructions_agree",
                 "PASS" if bijective and homomorphic else "FAIL",
                 None if bijective and homomorphic else

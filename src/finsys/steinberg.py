@@ -17,6 +17,7 @@ from .finring import (
     CapExceeded,
     FinRing,
     Subgroup,
+    _hom_escape,
     centralizer,
     is_simple,
     proper_ideal_witness,
@@ -255,7 +256,9 @@ def translation(pi: PartialAction, objects: FunctionSpace, skew: SkewRing,
     (as returned by ga_partial_action, with ``objects`` its function space)
     and the convolution algebra ``functions`` are inverse ring isomorphisms;
     also checks that the greedy and the singleton indicator decompositions
-    give the same skew element."""
+    give the same skew element.  The round trips are checked on every
+    element, the homomorphism laws on (element, basis element) pairs and
+    basis pairs, which is complete by biadditivity (see _hom_escape)."""
     K = objects.K
     G = pi.groupoid
     S = pi.sgrp
@@ -302,12 +305,9 @@ def translation(pi: PartialAction, objects: FunctionSpace, skew: SkewRing,
     for vec in functions.ring.elements():
         if alpha[beta[vec]] != vec:
             raise InternalInconsistency("translation round trip fails on the function side")
-    for a in skew.ring.elements():
-        for b in skew.ring.elements():
-            if alpha[skew.ring.mul(a, b)] != functions.ring.mul(alpha[a], alpha[b]):
-                raise InternalInconsistency("translation is not multiplicative")
-            if alpha[skew.ring.add(a, b)] != functions.ring.add(alpha[a], alpha[b]):
-                raise InternalInconsistency("translation is not additive")
+    escape = _hom_escape(skew.ring, functions.ring, alpha, skew.ring.basis())
+    if escape is not None:
+        raise InternalInconsistency(f"translation is not {escape[0]}")
     return TranslationPair(pi, skew, functions, objects, alpha, beta)
 
 

@@ -226,6 +226,25 @@ def test_replay_roundtrip(tmp_path):
     assert not ok
 
 
+def test_replay_runs_only_the_emitting_battery(monkeypatch):
+    from finsys.harness import checks
+
+    ran = []
+    for name in ("_ring_battery", "_semigroup_battery", "_groupoid_battery",
+                 "_system_battery", "_paction_battery", "_gpa_battery",
+                 "_steinberg_battery"):
+        def counted(*args, _name=name, _original=getattr(checks, name)):
+            ran.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(checks, name, counted)
+    for path in sorted(FIXTURES.glob("*.ins")):
+        for row in run(parse_path(path)).rows:
+            ran.clear()
+            ok, message = replay(row.record(instance=str(path)))
+            assert ok, message
+            assert len(ran) == 1, (row.name, ran)
+
+
 def test_fuzz_source_tag_names_non_default_bounds():
     assert random_instances(5, 1)[0].source == "fuzz:5:0"
     assert random_instances(5, 1, max_ring=9)[0].source == "fuzz:5:0:max_ring=9"
@@ -259,6 +278,33 @@ def test_cli_verify_ok(capsys):
 def test_cli_verify_parse_error(capsys):
     assert main(["verify", str(NEGATIVE / "bad_line.ins")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixture,edits,message", [
+    # a bijection that moves 0, so the map at g is not additive
+    ("swap_action.ins", [("0,0 -> 0,0", "0,0 -> 1,0"), ("1,0 -> 0,1", "1,0 -> 0,0"),
+                         ("0,1 -> 1,0", "0,1 -> 0,1")],
+     "map at g is not additive"),
+    # span of (1,1) in F_2 x F_2 does not absorb (1,0)
+    ("swap_action.ins", [("domain g = 1,0;0,1", "domain g = 1,1")],
+     "domain of g is not a two-sided ideal"),
+    # swapped off-diagonal components: R_m11 R_m21 = E11 E12 escapes R_o = 0
+    ("matrix_system.ins", [("component m12 = 0,1,0,0", "component m12 = 0,0,1,0"),
+                           ("component m21 = 0,0,1,0", "component m21 = 0,1,0,0")],
+     "R_m11 * R_m21 escapes R_o"),
+])
+def test_cli_verify_invalid_instance(tmp_path, capsys, fixture, edits, message):
+    text = (FIXTURES / fixture).read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    target = tmp_path / fixture
+    target.write_text(text)
+    assert main(["verify", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_verify_missing_file(capsys):

@@ -117,6 +117,29 @@ def test_not_iso_rejected():
         validate_partial_action(A, C1, {"g0": whole}, {"g0": squash})
 
 
+# bijections of F_2 x F_2 that are not ring maps: SHEAR is additive, but it
+# sends the orthogonal idempotents (1,0), (0,1) to (1,1), (0,1), whose
+# product is (0,1); MOVES_ZERO swaps 0 and (1,0)
+SHEAR = {(0, 0): (0, 0), (1, 0): (1, 1), (0, 1): (0, 1), (1, 1): (1, 0)}
+MOVES_ZERO = {(0, 0): (1, 0), (1, 0): (0, 0), (0, 1): (0, 1), (1, 1): (1, 1)}
+
+
+@pytest.mark.parametrize("table,kind", [(SHEAR, "multiplicative"),
+                                        (MOVES_ZERO, "additive")])
+def test_bijection_that_is_not_a_ring_map_rejected(table, kind):
+    A = catalog.product_ring(F2, F2)
+    whole = subgroup_closure(A, A.basis())
+    with pytest.raises(NotIso, match=f"map at g1 is not {kind}"):
+        validate_partial_action(A, C2, {"g0": whole, "g1": whole},
+                                {"g0": None, "g1": table})
+    C2g = group_as_groupoid(C2.elements, {(a, b): C2.mul(a, b)
+                                          for a in C2.elements
+                                          for b in C2.elements}, "g0")
+    with pytest.raises(NotIso, match="map at g1 is not a ring isomorphism"):
+        validate_groupoid_partial_action(A, C2g, {"g0": whole, "g1": whole},
+                                         {"g0": None, "g1": table})
+
+
 def test_not_ideal_rejected():
     # span(E11) is not an ideal of the matrix ring
     M = catalog.matrix_ring(F2, 2)
